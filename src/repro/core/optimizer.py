@@ -42,6 +42,34 @@ from .strategies import choose_options
 from .treewise import treewise_search
 
 
+#: Phases of a cold compile, timed into ``CompiledProgram.notes["phases"]``
+#: (host seconds, summed over elimination rounds). They are disjoint:
+#: ``choose_options`` is the strategy's time outside the probing phase,
+#: which is split into ``probe_tables`` (span tables and option costing)
+#: and ``probe_dp`` (the candidate DP).
+COMPILE_PHASES = ("check", "sketch", "build_chains", "search",
+                  "choose_options", "probe_tables", "probe_dp", "rewrite",
+                  "evaluate", "fusion")
+
+
+class _PhaseClock:
+    """Charges the host time since the previous lap to a compile phase."""
+
+    def __init__(self) -> None:
+        self.seconds = dict.fromkeys(COMPILE_PHASES, 0.0)
+        self._mark = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.seconds[phase] += now - self._mark
+        self._mark = now
+
+    def split(self, phase: str, part: str, seconds: float) -> None:
+        """Move ``seconds`` already charged to ``phase`` over to ``part``."""
+        self.seconds[phase] -= seconds
+        self.seconds[part] += seconds
+
+
 class _InflightCompile:
     """One cold compile in progress: followers wait instead of racing it."""
 
@@ -128,8 +156,10 @@ class ReMacOptimizer:
         notes = dict(hit.notes)
         notes["plan_cache"] = outcome
         notes["plan_cache_stats"] = self.plan_cache.stats_dict()
-        # A warm compile re-collects no estimator statistics.
+        # A warm compile re-collects no estimator statistics and runs no
+        # compile phase.
         notes["stats_collection_seconds"] = 0.0
+        notes["phases"] = dict.fromkeys(COMPILE_PHASES, 0.0)
         return replace(hit, notes=notes,
                        compile_seconds=time.perf_counter() - started)
 
@@ -210,7 +240,9 @@ class ReMacOptimizer:
                       input_data: dict | None, iterations: int | None,
                       started: float) -> CompiledProgram:
         """The full optimization pipeline (no plan-cache shortcut)."""
+        clock = _PhaseClock()
         check_program(program, inputs)  # fail fast on shape errors
+        clock.lap("check")
         estimator = make_estimator(self.config.estimator)
         if self.config.calibration is not None:
             # Calibrated re-entry (mid-run replanning): observed product
@@ -220,6 +252,7 @@ class ReMacOptimizer:
         model = CostModel(self.cluster, estimator, self.policy,
                           memoize=self.config.cost_memo)
         sketches = self._sketch_inputs(model, inputs, input_data)
+        clock.lap("sketch")
 
         # Adaptive elimination iterates to a fixpoint: once an option is
         # applied, its temporary's defining chain can expose follow-up
@@ -235,8 +268,10 @@ class ReMacOptimizer:
         search_notes: dict = {}
         strategy_name = self.config.strategy
         chains = build_chains(rewritten, inputs, iterations)
+        clock.lap("build_chains")
         for round_index in range(max_rounds):
             options, round_notes = self._search(chains)
+            clock.lap("search")
             if round_index == 0:
                 search_notes = round_notes
                 found_total = len(options)
@@ -244,6 +279,12 @@ class ReMacOptimizer:
                 found_total += len(options)
             strategy = choose_options(self.config.strategy, chains, model,
                                       options, sketches, self.config)
+            clock.lap("choose_options")
+            if strategy.probe is not None:
+                clock.split("choose_options", "probe_tables",
+                            strategy.probe.tables_seconds)
+                clock.split("choose_options", "probe_dp",
+                            strategy.probe.dp_seconds)
             strategy_name = strategy.strategy
             if round_index == 0:
                 chosen_ids = {o.option_id for o in strategy.chosen}
@@ -253,10 +294,12 @@ class ReMacOptimizer:
             rewritten = rewrite_program(
                 chains, strategy.chosen, model, sketches,
                 temp_prefix=f"{self.config.temp_prefix}{round_index}_")
+            clock.lap("rewrite")
             applied.extend(strategy.chosen)
             if not strategy.chosen:
                 break
             chains = build_chains(rewritten, inputs, iterations)
+            clock.lap("build_chains")
 
         # The final evaluation also records per-operator predicted prices
         # (keyed by statement path) so the execution tracer can report
@@ -266,10 +309,12 @@ class ReMacOptimizer:
         cost = ProgramCostEvaluator(model).evaluate(rewritten, sketches,
                                                     iterations=chains.iterations,
                                                     record=predicted_ops)
+        clock.lap("evaluate")
         fusion_notes = None
         if self.policy.fuse:
             from .enumerate import enumerate_fusion_regions
             fusion_notes = enumerate_fusion_regions(rewritten, model, sketches)
+        clock.lap("fusion")
         compile_seconds = time.perf_counter() - started
         return CompiledProgram(
             program=rewritten,
@@ -290,6 +335,7 @@ class ReMacOptimizer:
                 "cost_memo": model.memo_stats if self.config.cost_memo else None,
                 "pricing_workers": self.config.pricing_workers,
                 "fusion": fusion_notes,
+                "phases": clock.seconds,
                 **search_notes,
             })
 

@@ -25,7 +25,7 @@ from .cost.model import CostModel
 from .enumerate import enumerate_combinations
 from .options import EliminationOption, options_contradict
 from .parallel import parallel_map, resolve_workers
-from .probe import probe
+from .probe import ProbeResult, probe
 from .sparsity.base import Sketch
 
 STRATEGIES = ("none", "conservative", "aggressive", "adaptive", "automatic")
@@ -39,6 +39,8 @@ class StrategyResult:
     strategy: str = "none"
     wall_seconds: float = 0.0
     notes: dict = field(default_factory=dict)
+    #: The probing phase's outcome, for strategies that run it.
+    probe: ProbeResult | None = None
 
 
 def choose_options(strategy: str, chains: ProgramChains, model: CostModel,
@@ -66,7 +68,8 @@ def choose_options(strategy: str, chains: ProgramChains, model: CostModel,
                         workers=workers)
         result = StrategyResult(chosen=outcome.chosen, strategy=strategy,
                                 notes={"eligible": len(eligible),
-                                       "chain_cost": outcome.chain_cost})
+                                       "chain_cost": outcome.chain_cost},
+                                probe=outcome)
     elif strategy == "aggressive":
         result = _greedy(chains, model, options, input_sketches,
                          predicate=lambda o: True,
@@ -94,7 +97,8 @@ def _adaptive(chains: ProgramChains, model: CostModel,
         return StrategyResult(chosen=outcome.chosen, strategy="adaptive",
                               notes={"chain_cost": outcome.chain_cost,
                                      "plain_cost": outcome.plain_cost,
-                                     "entries": outcome.entries_explored})
+                                     "entries": outcome.entries_explored},
+                              probe=outcome)
     if config.combiner in ("enum-dfs", "enum-bfs"):
         order = config.combiner.split("-")[1]
         outcome = enumerate_combinations(

@@ -73,7 +73,8 @@ class TestReport:
     def test_save_report_writes_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr("repro.bench.report.RESULTS_DIR", str(tmp_path))
         save_report("unit", [{"a": 1}], title="U", notes="hello")
-        content = open(os.path.join(tmp_path, "unit.txt")).read()
+        with open(os.path.join(tmp_path, "unit.txt")) as handle:
+            content = handle.read()
         assert "U" in content and "hello" in content
 
     def test_summarize_speedups(self):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import ClusterConfig, OptimizerConfig
 from repro.core import ReMacOptimizer
+from repro.core.optimizer import COMPILE_PHASES
 from repro.errors import OptimizerError, ShapeError
 from repro.lang import parse
 from repro.matrix.meta import MatrixMeta
@@ -43,6 +44,19 @@ class TestCompile:
         assert compiled.notes["search"] == "blockwise"
         assert compiled.notes["strategy"] == "adaptive"
         assert compiled.notes["estimator"] == "mnc"
+
+    def test_phase_timings_cover_the_compile(self, cluster, gd_setup):
+        program, inputs, data = gd_setup
+        optimizer = ReMacOptimizer(cluster)
+        compiled = optimizer.compile(program, inputs, data, iterations=8)
+        phases = compiled.notes["phases"]
+        assert set(phases) == set(COMPILE_PHASES)
+        assert all(seconds >= 0.0 for seconds in phases.values())
+        assert phases["probe_dp"] > 0.0 and phases["probe_tables"] > 0.0
+        assert sum(phases.values()) <= compiled.compile_seconds
+        warm = optimizer.compile(program, inputs, data, iterations=8)
+        assert warm.notes["plan_cache"] == "hit"
+        assert sum(warm.notes["phases"].values()) == 0.0
 
     def test_applied_plus_rejected_equals_found(self, cluster, gd_setup):
         program, inputs, data = gd_setup
