@@ -308,21 +308,12 @@ def _operand_sketch(operand: Operand, env: dict[str, Sketch], model: CostModel) 
 
 
 def build_all_tables(chains: ProgramChains, model: CostModel,
-                     envs: list[dict[str, Sketch]],
-                     workers: int = 1) -> dict[int, SpanTable]:
-    """Span tables for every chain site of the program.
-
-    Sites are independent, so with ``workers > 1`` the tables are built on
-    the candidate-pricing pool; results are keyed by site, making the dict
-    identical to the serial build.
-    """
-    from .parallel import parallel_map
-
-    def build(site: ChainSite) -> SpanTable:
+                     envs: list[dict[str, Sketch]]) -> dict[int, SpanTable]:
+    """Span tables for every chain site of the program, keyed by site."""
+    tables: dict[int, SpanTable] = {}
+    for site in chains.sites:
         env = envs[site.stmt_index]
         sketches = [_operand_sketch(op, env, model) for op in site.operands]
         weight = float(chains.iterations) if site.in_loop else 1.0
-        return build_span_table(site, model, sketches, weight)
-
-    tables = parallel_map(build, chains.sites, workers)
-    return {site.site_id: table for site, table in zip(chains.sites, tables)}
+        tables[site.site_id] = build_span_table(site, model, sketches, weight)
+    return tables

@@ -57,15 +57,7 @@ from ..runtime.plan import CompiledProgram
 #: predicted cost — excluded from fingerprints so toggling them never
 #: fragments the cache.
 PERF_ONLY_CONFIG_FIELDS = frozenset({
-    "plan_cache", "plan_cache_size", "cost_memo", "pricing_workers",
-})
-
-#: ClusterConfig fields that cannot affect the chosen plan or its
-#: predicted cost — the kernel pool width, backend, and serial/parallel
-#: gate only change host wall-clock, so toggling them must hit the same
-#: cached plan.
-PERF_ONLY_CLUSTER_FIELDS = frozenset({
-    "kernel_workers", "kernel_backend", "kernel_parallel_threshold",
+    "plan_cache", "plan_cache_size", "cost_memo",
 })
 
 
@@ -149,9 +141,8 @@ def _config_text(config: OptimizerConfig) -> str:
 
 
 def _cluster_text(cluster: ClusterConfig) -> str:
-    parts = [f"{f.name}={getattr(cluster, f.name)!r}"
-             for f in fields(cluster) if f.name not in PERF_ONLY_CLUSTER_FIELDS]
-    return ";".join(parts)
+    return ";".join(f"{f.name}={getattr(cluster, f.name)!r}"
+                    for f in fields(cluster))
 
 
 def plan_fingerprint(program: Program, inputs: dict,

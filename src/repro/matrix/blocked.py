@@ -12,44 +12,41 @@ Distribution effects (which worker holds which block, what a multiply
 shuffles) are the runtime's business; it consumes the grid structure exposed
 here.
 
-Two execution fast paths live at this layer (see ``docs/architecture.md``
-§10), both invariant-preserving — results, simulated time, and metrics are
-bit-identical to the serial seed behaviour:
-
-* **Parallel block kernels.** The tile loops of ``matmul``, the cell-wise
-  ops, ``transpose``, ``map_cells``, ``add_scalar``, and construction fan
-  out over the shared worker pools in :mod:`repro.matrix.blockpool` when a
-  ``workers`` count > 1 (or a :class:`~repro.matrix.blockpool.
-  KernelDispatch`) is passed — the runtime threads
-  ``ClusterConfig.kernel_dispatch()`` through. The heavy kernels (matmul
-  tile products, the ``_zip`` family, ``add_scalar``) are module-level
-  task functions over self-contained task tuples, so the process backend
-  can ship them to worker processes; construction and ``map_cells`` carry
-  closures and run on the thread backend. Each helper preserves the
-  serial iteration order for every float fold and grid insertion, so
-  parallelism only changes host wall-clock, never a value. Every
-  ``work_hint`` follows the :func:`~repro.matrix.blockpool.map_blocks`
-  contract: estimated *cell touches per tile task*.
-* **Cached block statistics.** Grids are treated as immutable once an
-  operation returns, so ``nnz``, ``serialized_bytes()``, and ``meta()``
-  are computed once and cached; callers that legitimately edit ``blocks``
-  afterwards must call :meth:`BlockedMatrix.invalidate_stats`.
+Every per-tile loop (construction, ``transpose``, ``matmul``, the
+cell-wise ops, ``add_scalar``, ``map_cells``) goes through
+:func:`map_blocks`, one serial loop that keeps the tile order, so each
+float fold and grid insertion runs in a fixed order. Grids are treated as
+immutable once an operation returns, so ``nnz``, ``serialized_bytes()``
+and ``meta()`` are computed once and cached; callers that legitimately
+edit ``blocks`` afterwards must call :meth:`BlockedMatrix.invalidate_stats`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 from scipy import sparse
 
 from ..errors import ExecutionError, ShapeError
 from .block import Block
-from .blockpool import map_blocks
 from .meta import MatrixMeta
 
 DEFAULT_BLOCK_SIZE = 512
+
+Item = TypeVar("Item")
+Result = TypeVar("Result")
+
+
+def map_blocks(fn: Callable[[Item], Result],
+               items: Iterable[Item]) -> list[Result]:
+    """Apply ``fn`` to each independent tile task, in input order.
+
+    ``perfbench`` wraps this module-level name to count calls and tiles,
+    so per-tile loops here call it rather than inlining the comprehension.
+    """
+    return [fn(item) for item in items]
 
 
 class BlockedMatrix:
@@ -78,8 +75,7 @@ class BlockedMatrix:
     # ------------------------------------------------------------------
     @classmethod
     def from_numpy(cls, array: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE,
-                   symmetric: bool = False,
-                   workers: int | None = None) -> "BlockedMatrix":
+                   symmetric: bool = False) -> "BlockedMatrix":
         array = np.atleast_2d(np.asarray(array, dtype=np.float64))
         rows, cols = array.shape
         result = cls(rows, cols, block_size, symmetric=symmetric)
@@ -94,16 +90,13 @@ class BlockedMatrix:
                     row.append(((bi, bj), Block(tile.copy()).normalized()))
             return row
 
-        row_work = float(cols) * block_size  # cells scanned per row slab
-        for row in map_blocks(build_row, range(result.row_blocks), workers,
-                              work_hint=row_work):
+        for row in map_blocks(build_row, range(result.row_blocks)):
             result.blocks.update(row)
         return result
 
     @classmethod
     def from_scipy(cls, matrix: sparse.spmatrix, block_size: int = DEFAULT_BLOCK_SIZE,
-                   symmetric: bool = False,
-                   workers: int | None = None) -> "BlockedMatrix":
+                   symmetric: bool = False) -> "BlockedMatrix":
         matrix = matrix.tocsr()
         rows, cols = matrix.shape
         result = cls(rows, cols, block_size, symmetric=symmetric)
@@ -121,22 +114,18 @@ class BlockedMatrix:
                     row.append(((bi, bj), Block(tile.tocsr()).normalized()))
             return row
 
-        row_work = matrix.nnz / max(1, result.row_blocks)
-        for row in map_blocks(build_row, range(result.row_blocks), workers,
-                              work_hint=row_work):
+        for row in map_blocks(build_row, range(result.row_blocks)):
             result.blocks.update(row)
         return result
 
     @classmethod
     def from_any(cls, data, block_size: int = DEFAULT_BLOCK_SIZE,
-                 symmetric: bool = False,
-                 workers: int | None = None) -> "BlockedMatrix":
+                 symmetric: bool = False) -> "BlockedMatrix":
         if isinstance(data, BlockedMatrix):
             return data
         if sparse.issparse(data):
-            return cls.from_scipy(data, block_size, symmetric, workers=workers)
-        return cls.from_numpy(np.asarray(data), block_size, symmetric,
-                              workers=workers)
+            return cls.from_scipy(data, block_size, symmetric)
+        return cls.from_numpy(np.asarray(data), block_size, symmetric)
 
     @classmethod
     def scalar(cls, value: float, block_size: int = DEFAULT_BLOCK_SIZE) -> "BlockedMatrix":
@@ -255,23 +244,14 @@ class BlockedMatrix:
     # ------------------------------------------------------------------
     # Logical arithmetic (used by the executor's kernels)
     # ------------------------------------------------------------------
-    def transpose(self, workers: int | None = None) -> "BlockedMatrix":
+    def transpose(self) -> "BlockedMatrix":
         result = BlockedMatrix(self.cols, self.rows, self.block_size,
                                symmetric=self.symmetric)
-        entries = list(self.blocks.items())
-        # Per-task cell touches: dense payloads transpose as views (zero
-        # touches), while CSR payloads pay an O(nnz) re-conversion — so
-        # the hint is the average nnz of the *sparse* tiles only. Dense
-        # grids hint 0.0 and stay serial, where the pool never pays.
-        sparse_touches = sum(block.nnz for _, block in entries
-                             if block.is_sparse)
-        result.blocks.update(
-            map_blocks(_transposed_entry, entries, workers,
-                       work_hint=sparse_touches / max(1, len(entries))))
+        result.blocks.update(map_blocks(_transposed_entry,
+                                        list(self.blocks.items())))
         return result
 
-    def matmul(self, other: "BlockedMatrix",
-               workers: int | None = None) -> "BlockedMatrix":
+    def matmul(self, other: "BlockedMatrix") -> "BlockedMatrix":
         if self.cols != other.rows:
             raise ShapeError(
                 f"matmul shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -286,10 +266,9 @@ class BlockedMatrix:
         for (bk, bj), block in other.blocks.items():
             right_by_row.setdefault(bk, []).append((bj, block))
         # Per-output-tile contribution lists. Tiles are discovered in
-        # first-touch order and each tile's pairs in left-block scan order —
-        # exactly the serial accumulation order, so the per-tile partial-sum
-        # folds (and the result grid's insertion order) are bit-identical no
-        # matter how the tile tasks are scheduled.
+        # first-touch order and each tile's pairs in left-block scan order,
+        # which fixes the per-tile partial-sum folds and the result grid's
+        # insertion order.
         contributions: dict[tuple[int, int], list[tuple[Block, Block]]] = {}
         for (bi, bk), left_block in self.blocks.items():
             for bj, right_block in right_by_row.get(bk, ()):
@@ -297,23 +276,13 @@ class BlockedMatrix:
                 if pairs is None:
                     contributions[(bi, bj)] = pairs = []
                 pairs.append((left_block, right_block))
-        # Estimated per-output-tile work: each contributing pair touches on
-        # the order of (left nnz) x (block width) cells. Cheap to compute —
-        # block nnz is cached — and it keeps micro-grids off the pool.
-        pair_work = 0.0
-        for pairs in contributions.values():
-            for left_block, _right_block in pairs:
-                pair_work += left_block.nnz
-        tile_work = self.block_size * pair_work / max(1, len(contributions))
-        tiles = map_blocks(_tile_product, list(contributions.values()), workers,
-                           work_hint=tile_work)
+        tiles = map_blocks(_tile_product, list(contributions.values()))
         for key, block in zip(contributions, tiles):
             if block is not None:
                 result.blocks[key] = block
         return result
 
-    def _zip(self, other: "BlockedMatrix", op_name: str,
-             workers: int | None = None) -> "BlockedMatrix":
+    def _zip(self, other: "BlockedMatrix", op_name: str) -> "BlockedMatrix":
         """Cell-wise combine; see the named wrappers below.
 
         Implicit (absent) blocks are all-zero tiles. ``multiply`` skips a
@@ -332,32 +301,24 @@ class BlockedMatrix:
                 f"{other.rows}x{other.cols}")
         result = BlockedMatrix(self.rows, self.cols, self.block_size)
         keys = list(set(self.blocks) | set(other.blocks))
-        # Self-contained task tuples (grid lookups happen here, serially)
-        # so the module-level task function is process-backend shippable.
         tasks = [(key, self.blocks.get(key), other.blocks.get(key),
                   self.block_dims(*key), op_name) for key in keys]
-        tile_work = (self.nnz + other.nnz) / max(1, len(keys))
-        for key, block in zip(keys, map_blocks(_zip_entry, tasks, workers,
-                                               work_hint=tile_work)):
+        for key, block in zip(keys, map_blocks(_zip_entry, tasks)):
             if block is not None:
                 result.blocks[key] = block
         return result
 
-    def add(self, other: "BlockedMatrix",
-            workers: int | None = None) -> "BlockedMatrix":
-        return self._zip(other, "add", workers)
+    def add(self, other: "BlockedMatrix") -> "BlockedMatrix":
+        return self._zip(other, "add")
 
-    def subtract(self, other: "BlockedMatrix",
-                 workers: int | None = None) -> "BlockedMatrix":
-        return self._zip(other, "subtract", workers)
+    def subtract(self, other: "BlockedMatrix") -> "BlockedMatrix":
+        return self._zip(other, "subtract")
 
-    def multiply(self, other: "BlockedMatrix",
-                 workers: int | None = None) -> "BlockedMatrix":
-        return self._zip(other, "multiply", workers)
+    def multiply(self, other: "BlockedMatrix") -> "BlockedMatrix":
+        return self._zip(other, "multiply")
 
-    def divide(self, other: "BlockedMatrix",
-               workers: int | None = None) -> "BlockedMatrix":
-        return self._zip(other, "divide", workers)
+    def divide(self, other: "BlockedMatrix") -> "BlockedMatrix":
+        return self._zip(other, "divide")
 
     def scale(self, scalar: float) -> "BlockedMatrix":
         result = BlockedMatrix(self.rows, self.cols, self.block_size,
@@ -368,8 +329,7 @@ class BlockedMatrix:
             result.blocks[key] = block.scale(scalar)
         return result
 
-    def add_scalar(self, scalar: float,
-                   workers: int | None = None) -> "BlockedMatrix":
+    def add_scalar(self, scalar: float) -> "BlockedMatrix":
         if scalar == 0.0:
             # Value-identical to self, but with a fresh grid dict: callers
             # may edit the result's grid without aliasing this matrix
@@ -383,9 +343,7 @@ class BlockedMatrix:
                   for bj in range(self.col_blocks)]
         tasks = [(self.blocks.get(key), self.block_dims(*key), scalar)
                  for key in coords]
-        tile_work = float(self.rows) * self.cols / max(1, len(coords))
-        for key, block in zip(coords, map_blocks(_shift_entry, tasks, workers,
-                                                 work_hint=tile_work)):
+        for key, block in zip(coords, map_blocks(_shift_entry, tasks)):
             result.blocks[key] = block
         return result
 
@@ -399,8 +357,7 @@ class BlockedMatrix:
     def sum(self) -> float:
         return sum(block.sum() for block in self.blocks.values())
 
-    def map_cells(self, func, preserves_zero: bool,
-                  workers: int | None = None) -> "BlockedMatrix":
+    def map_cells(self, func, preserves_zero: bool) -> "BlockedMatrix":
         """Apply ``func`` cell-wise.
 
         Zero-preserving maps run on sparse payloads directly; densifying
@@ -418,10 +375,7 @@ class BlockedMatrix:
                     return key, Block(payload).normalized()
                 return key, Block(func(block.data)).normalized()
 
-            entries = list(self.blocks.items())
-            tile_work = self.nnz / max(1, len(entries))
-            result.blocks.update(map_blocks(mapped, entries, workers,
-                                            work_hint=tile_work))
+            result.blocks.update(map_blocks(mapped, list(self.blocks.items())))
             return result
 
         def densified(key: tuple[int, int]):
@@ -432,9 +386,7 @@ class BlockedMatrix:
 
         coords = [(bi, bj) for bi in range(self.row_blocks)
                   for bj in range(self.col_blocks)]
-        tile_work = float(self.rows) * self.cols / max(1, len(coords))
-        result.blocks.update(map_blocks(densified, coords, workers,
-                                        work_hint=tile_work))
+        result.blocks.update(map_blocks(densified, coords))
         return result
 
     def row_sums(self) -> "BlockedMatrix":
@@ -509,9 +461,7 @@ def _zip_entry(task) -> Block | None:
     """One cell-wise combine task; replicates the serial ``_zip`` rules.
 
     ``task`` is ``(key, left, right, dims, op_name)`` with either block
-    possibly ``None`` (an implicit all-zero tile). Module-level and
-    self-contained so :func:`~repro.matrix.blockpool.map_blocks` can ship
-    it to worker processes.
+    possibly ``None`` (an implicit all-zero tile).
     """
     key, left, right, dims, op_name = task
     if left is None and right is None:
@@ -546,8 +496,8 @@ def _tile_product(pairs: list[tuple[Block, Block]]) -> Block | None:
     Partials stay CSR while every contribution is sparse (CSR + CSR); the
     accumulator densifies at the first dense contribution and is then
     summed in place — no per-pair ``Block`` wrappers or re-allocation. The
-    fold runs left-to-right over ``pairs`` (the serial scan order), so the
-    float results are bit-identical to pairwise ``Block.add``.
+    fold runs left-to-right over ``pairs`` (the left-block scan order), so
+    the float results are bit-identical to pairwise ``Block.add``.
     """
     accumulator = None
     for left, right in pairs:

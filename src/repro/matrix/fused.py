@@ -28,8 +28,7 @@ import numpy as np
 
 from ..errors import ExecutionError
 from .block import Block
-from .blocked import BlockedMatrix
-from .blockpool import KernelDispatch, map_blocks
+from .blocked import BlockedMatrix, map_blocks
 
 ZIP_OPS = ("add", "subtract", "multiply", "divide")
 
@@ -172,8 +171,7 @@ def _root_symmetric(steps: list[Step], leaves: list[BlockedMatrix]) -> bool:
     return flags[-1]
 
 
-def evaluate_fused_ewise(steps: list[Step], leaves: list[BlockedMatrix],
-                         workers: int | KernelDispatch | None = None
+def evaluate_fused_ewise(steps: list[Step], leaves: list[BlockedMatrix]
                          ) -> tuple[BlockedMatrix, list[int]]:
     """Evaluate a fused element-wise region in one pass per tile.
 
@@ -182,13 +180,6 @@ def evaluate_fused_ewise(steps: list[Step], leaves: list[BlockedMatrix],
     observed total ``nnz`` of every step — the exact intermediate metadata
     the runtime prices the fused operator with, available here for free
     because the single pass visits every intermediate tile anyway.
-
-    ``workers`` accepts a worker count or a full
-    :class:`~repro.matrix.blockpool.KernelDispatch`; the per-tile chain
-    closes over the leaf grids, so a process-backend dispatch runs on the
-    thread pool (shipping whole operand grids per slice would cost more
-    than the GIL saves) — the calibrated gate and batched submission still
-    apply. The ``work_hint`` below follows the cells-per-task contract.
     """
     if not steps or steps[-1].op == "leaf":
         raise ValueError("fused region must end in a non-leaf step")
@@ -206,9 +197,7 @@ def evaluate_fused_ewise(steps: list[Step], leaves: list[BlockedMatrix],
     def chain(key: tuple[int, int]) -> list[Block | None]:
         return _tile_chain(steps, leaves, rows, cols, block_size, key)
 
-    leaf_cells = sum(leaf.nnz for leaf in leaves)
-    work_hint = len(steps) * leaf_cells / max(1, len(candidates))
-    columns = map_blocks(chain, candidates, workers, work_hint=work_hint)
+    columns = map_blocks(chain, candidates)
 
     present: list[dict[tuple[int, int], bool]] = [{} for _ in steps]
     nnz: list[int] = [0] * len(steps)

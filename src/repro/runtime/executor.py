@@ -9,11 +9,9 @@ Transposes directly under a multiplication are *fused* (executed
 block-locally inside the multiply, SystemDS-style); only materialized
 transposes pay the distributed re-key shuffle.
 
-Host wall-clock and the simulated clock are decoupled by design: the
-kernels may fan block work out across host threads or worker processes
-(``ClusterConfig.kernel_dispatch()``, docs/architecture.md §10) without
-moving a single simulated nanosecond — the dispatch spec is perf-only and
-every backend/width produces bit-identical values, metrics, and traces.
+Host wall-clock and the simulated clock are decoupled by design: block
+work runs serially on the host (docs/architecture.md §10), and only the
+priced operators advance the simulated clock.
 """
 
 from __future__ import annotations

@@ -96,14 +96,6 @@ class Kernels:
         self.network = Network(config, self.metrics, recovery=recovery)
         if recovery is not None:
             recovery.bind(self)
-        #: Fan-out spec for block-level kernels — width, thread/process
-        #: backend, and serial/parallel gate, from ``config.kernel_*``
-        #: (width 1 = serial seed behaviour). Perf-only: values, simulated
-        #: time, and metrics are bit-identical under any dispatch — see
-        #: ``docs/architecture.md`` §10. ``map_blocks`` accepts the spec
-        #: anywhere a bare worker count is accepted, so every kernel below
-        #: passes it through unchanged.
-        self.kernel_workers = config.kernel_dispatch()
         #: Optional :class:`~repro.runtime.trace.ExecutionTracer`. Every
         #: hook below is guarded by an ``is None`` check so tracing is
         #: zero-cost when off (no spans allocated, no placement scans).
@@ -165,8 +157,7 @@ class Kernels:
         partitioning a dataset in parallel" (§6.5).
         """
         matrix = BlockedMatrix.from_any(data, block_size=self.config.block_size,
-                                        symmetric=symmetric,
-                                        workers=self.kernel_workers)
+                                        symmetric=symmetric)
         meta = matrix.meta()
         from .hybrid import value_distributed
         distributed = value_distributed(meta, self.config, self.policy)
@@ -199,15 +190,14 @@ class Kernels:
         blocks worker-locally: they cost FLOP touches but no re-keying
         shuffle, unlike :meth:`transpose`.
         """
-        workers = self.kernel_workers
         left_meta = left.meta.transposed() if left_transposed else left.meta
         right_meta = right.meta.transposed() if right_transposed else right.meta
-        left_mat = left.matrix.transpose(workers) if left_transposed else left.matrix
-        right_mat = right.matrix.transpose(workers) if right_transposed \
+        left_mat = left.matrix.transpose() if left_transposed else left.matrix
+        right_mat = right.matrix.transpose() if right_transposed \
             else right.matrix
         left_mat, right_mat = self._coerce_mixed(left_mat, right_mat)
 
-        result = left_mat.matmul(right_mat, workers=workers)
+        result = left_mat.matmul(right_mat)
         # t(X) %*% X and X %*% t(X) are provably symmetric whatever X is
         # (the flag changes no pricing — metas price by shape and sparsity).
         if left.matrix is right.matrix and left_transposed != right_transposed:
@@ -223,7 +213,7 @@ class Kernels:
             self.tracer.record_operator("matmul", price, (left_meta, right_meta), out)
         if self.recovery is not None:
             self._finish_op("matmul", price, result,
-                            lambda: left_mat.matmul(right_mat, workers=workers))
+                            lambda: left_mat.matmul(right_mat))
         return out
 
     def mmchain(self, x: Value, v: Value, exact_inner: bool = False) -> Value:
@@ -238,9 +228,8 @@ class Kernels:
         observed meta instead of the legacy dense assumption.
         """
         from .pricing import price_mmchain
-        workers = self.kernel_workers
-        inner = x.matrix.matmul(v.matrix, workers=workers)
-        result = x.matrix.transpose(workers).matmul(inner, workers=workers)
+        inner = x.matrix.matmul(v.matrix)
+        result = x.matrix.transpose().matmul(inner)
         price = price_mmchain(x.meta, v.meta, result.meta(), self.config,
                               self.policy, imbalance=x.imbalance,
                               inner=inner.meta() if exact_inner else None)
@@ -252,8 +241,7 @@ class Kernels:
             x_mat, v_mat = x.matrix, v.matrix
             self._finish_op(
                 "mmchain", price, result,
-                lambda: x_mat.transpose(workers).matmul(
-                    x_mat.matmul(v_mat, workers=workers), workers=workers))
+                lambda: x_mat.transpose().matmul(x_mat.matmul(v_mat)))
         return out
 
     def fused_ewise(self, plan) -> Value:
@@ -268,10 +256,9 @@ class Kernels:
         """
         from ..matrix.fused import evaluate_fused_ewise
         from .fusion import exact_fused_price
-        workers = self.kernel_workers
         steps = plan.steps
         leaves = [value.matrix for value in plan.leaf_values]
-        result, step_nnz = evaluate_fused_ewise(steps, leaves, workers)
+        result, step_nnz = evaluate_fused_ewise(steps, leaves)
         price = exact_fused_price(plan, result.meta(), step_nnz, self.config,
                                   self.policy)
         self._charge(price)
@@ -282,7 +269,7 @@ class Kernels:
         if self.recovery is not None:
             self._finish_op(
                 "fused_ewise", price, result,
-                lambda: evaluate_fused_ewise(steps, leaves, workers)[0])
+                lambda: evaluate_fused_ewise(steps, leaves)[0])
         return out
 
     def _coerce_mixed(self, left_mat: BlockedMatrix,
@@ -295,8 +282,7 @@ class Kernels:
         if left_sparse == right_sparse:
             return left_mat, right_mat
         target = left_mat if left_sparse else right_mat
-        densified = BlockedMatrix.from_numpy(target.to_numpy(), target.block_size,
-                                             workers=self.kernel_workers)
+        densified = BlockedMatrix.from_numpy(target.to_numpy(), target.block_size)
         self.metrics.charge_compute(
             target.rows * target.cols / self.config.cluster_flops)
         if left_sparse:
@@ -312,7 +298,7 @@ class Kernels:
             return self._scalar_ewise(left.scalar_value(), right, kind, left_side=True)
         if right.is_scalar and not left.is_scalar:
             return self._scalar_ewise(right.scalar_value(), left, kind, left_side=False)
-        result = getattr(left.matrix, op_name)(right.matrix, self.kernel_workers)
+        result = getattr(left.matrix, op_name)(right.matrix)
         out_meta = result.meta()
         price = price_ewise(kind, left.meta, right.meta, out_meta, self.config,
                             self.policy, imbalance=max(left.imbalance, right.imbalance))
@@ -321,22 +307,21 @@ class Kernels:
         if self.tracer is not None:
             self.tracer.record_operator(kind, price, (left.meta, right.meta), out)
         if self.recovery is not None:
-            left_mat, right_mat, workers = left.matrix, right.matrix, self.kernel_workers
+            left_mat, right_mat = left.matrix, right.matrix
             self._finish_op(kind, price, result,
-                            lambda: getattr(left_mat, op_name)(right_mat, workers))
+                            lambda: getattr(left_mat, op_name)(right_mat))
         return out
 
     def _scalar_ewise(self, scalar: float, value: Value, kind: str,
                       left_side: bool) -> Value:
         matrix = value.matrix
-        workers = self.kernel_workers
 
         def compute() -> BlockedMatrix:
             if kind == "add":
-                return matrix.add_scalar(scalar, workers)
+                return matrix.add_scalar(scalar)
             if kind == "subtract":
-                return matrix.negate().add_scalar(scalar, workers) if left_side \
-                    else matrix.add_scalar(-scalar, workers)
+                return matrix.negate().add_scalar(scalar) if left_side \
+                    else matrix.add_scalar(-scalar)
             if kind == "multiply":
                 return matrix.scale(scalar)
             if kind == "divide":
@@ -396,16 +381,14 @@ class Kernels:
     # ------------------------------------------------------------------
     def transpose(self, value: Value) -> Value:
         """Materialized transpose: distributed inputs pay a re-key shuffle."""
-        result = value.matrix.transpose(self.kernel_workers)
+        result = value.matrix.transpose()
         price = price_transpose(value.meta, self.config, self.policy, value.imbalance)
         self._charge(price)
         out = self._wrap(result, price.output_distributed)
         if self.tracer is not None:
             self.tracer.record_operator("transpose", price, (value.meta,), out)
         if self.recovery is not None:
-            matrix, workers = value.matrix, self.kernel_workers
-            self._finish_op("transpose", price, result,
-                            lambda: matrix.transpose(workers))
+            self._finish_op("transpose", price, result, value.matrix.transpose)
         return out
 
     def aggregate_sum(self, value: Value) -> Value:
@@ -461,8 +444,7 @@ class Kernels:
             func, preserves_zero = self._CELLWISE[func_name]
         except KeyError:
             raise ExecutionError(f"unknown cell-wise builtin {func_name!r}") from None
-        result = value.matrix.map_cells(func, preserves_zero,
-                                        self.kernel_workers)
+        result = value.matrix.map_cells(func, preserves_zero)
         price = price_map(value.meta, result.meta(), self.config, self.policy,
                           value.imbalance)
         self._charge(price)
@@ -470,9 +452,9 @@ class Kernels:
         if self.tracer is not None:
             self.tracer.record_operator("map", price, (value.meta,), out)
         if self.recovery is not None:
-            matrix, workers = value.matrix, self.kernel_workers
+            matrix = value.matrix
             self._finish_op("map", price, result,
-                            lambda: matrix.map_cells(func, preserves_zero, workers))
+                            lambda: matrix.map_cells(func, preserves_zero))
         return out
 
     _STRUCTURAL = {

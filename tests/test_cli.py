@@ -146,40 +146,35 @@ class TestFaultFlags:
         assert "faults" not in capsys.readouterr().out
 
 
-class TestPricingWorkersFlag:
-    def _args(self, pricing_workers=None, no_plan_cache=False):
-        import argparse
-        return argparse.Namespace(pricing_workers=pricing_workers,
-                                  no_plan_cache=no_plan_cache)
+class TestCompilePhases:
+    RUN = ["run", "--engine", "remac", "--algorithm", "gd",
+           "--dataset", "cri1", "--iterations", "2", "--scale", "0.05"]
 
-    def test_zero_means_one_thread_per_cpu_end_to_end(self):
-        """``--pricing-workers 0`` must keep its documented meaning instead
-        of being coerced to serial before reaching OptimizerConfig."""
-        import os
+    @staticmethod
+    def _phases(out: str) -> dict[str, float]:
+        """The milliseconds on the line right after ``compiled:``."""
+        lines = out.splitlines()
+        index = next(i for i, line in enumerate(lines)
+                     if line.startswith("compiled:"))
+        label, _, body = lines[index + 1].partition(":")
+        assert label == "phases"
+        phases = {}
+        for entry in body.split(","):
+            name, value, unit = entry.split()
+            assert unit == "ms"
+            phases[name] = float(value)
+        return phases
 
-        from repro.__main__ import _optimizer_config
-        from repro.core import resolve_workers
+    def test_cold_compile_lists_every_phase(self, capsys):
+        from repro.core.optimizer import COMPILE_PHASES
 
-        config = _optimizer_config(self._args(pricing_workers=0))
-        assert config.pricing_workers == 0
-        assert resolve_workers(config.pricing_workers) == (os.cpu_count() or 1)
+        assert main(self.RUN) == 0
+        phases = self._phases(capsys.readouterr().out)
+        assert list(phases) == list(COMPILE_PHASES)
+        assert sum(phases.values()) > 0.0
 
-    def test_omitted_keeps_config_default(self):
-        from repro.__main__ import _optimizer_config
-        from repro.config import OptimizerConfig
-
-        config = _optimizer_config(self._args())
-        assert config.pricing_workers == OptimizerConfig().pricing_workers == 1
-
-    def test_explicit_width_passes_through(self):
-        from repro.__main__ import _optimizer_config
-
-        config = _optimizer_config(self._args(pricing_workers=3))
-        assert config.pricing_workers == 3
-
-    def test_run_accepts_zero(self, capsys):
-        code = main(["run", "--engine", "remac", "--algorithm", "gd",
-                     "--dataset", "cri1", "--iterations", "2",
-                     "--scale", "0.05", "--pricing-workers", "0"])
-        assert code == 0
-        assert "execution" in capsys.readouterr().out
+    def test_plan_cache_hit_reads_zero(self, capsys):
+        assert main(self.RUN + ["--repeat", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "run 2/2" in out and "(plan cache hit)" in out
+        assert set(self._phases(out).values()) == {0.0}

@@ -56,11 +56,30 @@ class TestConstruction:
 
 
 class TestArithmetic:
-    def test_matmul_dense(self, rng):
-        a = rng.random((100, 60))
-        b = rng.random((60, 30))
-        result = BlockedMatrix.from_numpy(a, 32).matmul(BlockedMatrix.from_numpy(b, 32))
+    MATMUL_CASES = [
+        ("ragged", (100, 60), (60, 30), 32),
+        ("multi-block", (100, 70), (70, 90), 32),  # ragged edges both ways
+        ("single-block", (20, 20), (20, 20), 64),  # grid is 1x1
+        ("tall ragged", (130, 17), (17, 5), 32),
+    ]
+
+    @pytest.mark.parametrize("label, left_shape, right_shape, bs",
+                             MATMUL_CASES, ids=[c[0] for c in MATMUL_CASES])
+    def test_matmul_dense(self, rng, label, left_shape, right_shape, bs):
+        a = rng.random(left_shape)
+        b = rng.random(right_shape)
+        result = BlockedMatrix.from_numpy(a, bs).matmul(BlockedMatrix.from_numpy(b, bs))
         assert np.allclose(result.to_numpy(), a @ b)
+
+    def test_single_block_matrix_all_ops(self, rng):
+        a = rng.random((8, 8))
+        b = rng.random((8, 8)) + 0.5
+        left = BlockedMatrix.from_numpy(a, 64)
+        right = BlockedMatrix.from_numpy(b, 64)
+        expected = {"matmul": a @ b, "add": a + b, "subtract": a - b,
+                    "multiply": a * b, "divide": a / b}
+        for op, reference in expected.items():
+            assert np.allclose(getattr(left, op)(right).to_numpy(), reference)
 
     def test_matmul_sparse_sparse(self, rng):
         a = sp.random(120, 80, density=0.05, format="csr", random_state=rng)

@@ -138,8 +138,7 @@ class TestFingerprint:
         base = self.fingerprint(gd_setup, cluster, tokens=tokens)
         tweaked = self.fingerprint(
             gd_setup, cluster, tokens=tokens,
-            config=OptimizerConfig(cost_memo=False, pricing_workers=8,
-                                   plan_cache_size=2))
+            config=OptimizerConfig(cost_memo=False, plan_cache_size=2))
         assert base == tweaked
 
     def test_fresh_data_objects_miss(self, cluster, gd_setup, rng):
