@@ -31,7 +31,10 @@ class Block:
 
     __slots__ = ("data", "_nnz")
 
-    def __init__(self, data: Payload):
+    def __init__(self, data: Payload, nnz: int | None = None):
+        """``nnz``, when given, must be the payload's nonzero count: callers
+        that already know it (a fresh scan, an unchanged count) seed the
+        cache so the payload is never scanned again."""
         if sparse.issparse(data):
             data = data.tocsr()
         else:
@@ -39,7 +42,7 @@ class Block:
             if data.ndim != 2:
                 raise ValueError(f"block payload must be 2-D, got {data.ndim}-D")
         self.data = data
-        self._nnz: int | None = None
+        self._nnz = nnz
 
     # ------------------------------------------------------------------
     # Introspection
@@ -110,7 +113,7 @@ class Block:
         return op(self.to_dense_array(), other.to_dense_array())
 
     def transpose(self) -> "Block":
-        return Block(self.data.T)
+        return Block(self.data.T, self._nnz)
 
     def scale(self, scalar: float) -> "Block":
         return Block(self.data * scalar)
@@ -119,7 +122,7 @@ class Block:
         return Block(self.to_dense_array() + scalar)
 
     def negate(self) -> "Block":
-        return Block(-self.data)
+        return Block(-self.data, self._nnz)
 
     def sum(self) -> float:
         return float(self.data.sum())

@@ -16,9 +16,12 @@ Every per-tile loop (construction, ``transpose``, ``matmul``, the
 cell-wise ops, ``add_scalar``, ``map_cells``) goes through
 :func:`map_blocks`, one serial loop that keeps the tile order, so each
 float fold and grid insertion runs in a fixed order. Grids are treated as
-immutable once an operation returns, so ``nnz``, ``serialized_bytes()``
-and ``meta()`` are computed once and cached; callers that legitimately
-edit ``blocks`` afterwards must call :meth:`BlockedMatrix.invalidate_stats`.
+immutable once an operation returns, so ``nnz``, ``serialized_bytes()``,
+``meta()`` and the transposed grid are computed once and cached; callers
+that legitimately edit ``blocks`` afterwards (crash healing) must call
+:meth:`BlockedMatrix.invalidate_stats`. ``from_scipy`` tiles a sparse
+input in one array pass per row slab, with no per-tile slicing or format
+round trip.
 """
 
 from __future__ import annotations
@@ -69,6 +72,9 @@ class BlockedMatrix:
         self._nnz: int | None = None
         self._bytes: float | None = None
         self._meta: MatrixMeta | None = None
+        # The transposed grid, built on the first transpose(). It holds no
+        # reference back to this grid, so dropping either frees it at once.
+        self._transpose: BlockedMatrix | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -86,8 +92,11 @@ class BlockedMatrix:
             for bj in range(col_blocks):
                 tile = array[bi * block_size:(bi + 1) * block_size,
                              bj * block_size:(bj + 1) * block_size]
-                if np.any(tile):
-                    row.append(((bi, bj), Block(tile.copy()).normalized()))
+                # One scan: the count both skips empty tiles and seeds
+                # the block's cached nnz for normalized().
+                nnz = int(np.count_nonzero(tile))
+                if nnz:
+                    row.append(((bi, bj), Block(tile.copy(), nnz).normalized()))
             return row
 
         for row in map_blocks(build_row, range(result.row_blocks)):
@@ -97,21 +106,54 @@ class BlockedMatrix:
     @classmethod
     def from_scipy(cls, matrix: sparse.spmatrix, block_size: int = DEFAULT_BLOCK_SIZE,
                    symmetric: bool = False) -> "BlockedMatrix":
+        """Tile a SciPy matrix into CSR blocks in one array pass per row slab.
+
+        Each slab's CSR arrays are split by tile with one stable argsort
+        of the column-tile ids, so every tile's entries come out in (row,
+        column) order, duplicates in stored order: the canonical layout
+        a CSC round trip would give, built without one.
+        """
         matrix = matrix.tocsr()
         rows, cols = matrix.shape
         result = cls(rows, cols, block_size, symmetric=symmetric)
         col_blocks = result.col_blocks
+        indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+        if not matrix.has_sorted_indices:
+            # Order each row by column once, keeping duplicates in stored
+            # order, so the per-slab split below needs one sort key only.
+            entry_rows = np.repeat(np.arange(rows), np.diff(indptr))
+            order = np.lexsort((indices, entry_rows))
+            indices, data = indices[order], data[order]
+        # Radix-sortable tile ids: argsort(kind="stable") is linear on
+        # 16-bit keys.
+        tile_dtype = np.uint16 if col_blocks <= 1 << 16 else np.int64
+        csr = type(matrix)
 
         def build_row(bi: int) -> list[tuple[tuple[int, int], Block]]:
+            top = bi * block_size
+            height = min(block_size, rows - top)
+            start, stop = indptr[top], indptr[top + height]
+            if start == stop:
+                return []
+            slab_cols = indices[start:stop]
+            tile_ids = (slab_cols // block_size).astype(tile_dtype)
+            order = np.argsort(tile_ids, kind="stable")
+            tile_rows = np.repeat(np.arange(height),
+                                  np.diff(indptr[top:top + height + 1]))[order]
+            tile_cols = (slab_cols % block_size)[order]
+            tile_data = data[start:stop][order]
+            bounds = np.zeros(col_blocks + 1, dtype=np.int64)
+            np.cumsum(np.bincount(tile_ids, minlength=col_blocks), out=bounds[1:])
             row: list[tuple[tuple[int, int], Block]] = []
-            row_slab = matrix[bi * block_size:(bi + 1) * block_size, :]
-            if row_slab.nnz == 0:
-                return row
-            slab_csc = row_slab.tocsc()
-            for bj in range(col_blocks):
-                tile = slab_csc[:, bj * block_size:(bj + 1) * block_size]
-                if tile.nnz:
-                    row.append(((bi, bj), Block(tile.tocsr()).normalized()))
+            for bj in np.flatnonzero(np.diff(bounds)).tolist():
+                lo, hi = bounds[bj], bounds[bj + 1]
+                tile_indptr = np.zeros(height + 1, dtype=indices.dtype)
+                np.cumsum(np.bincount(tile_rows[lo:hi], minlength=height),
+                          out=tile_indptr[1:])
+                tile = csr((tile_data[lo:hi], tile_cols[lo:hi], tile_indptr),
+                           shape=(height, min(block_size, cols - bj * block_size)))
+                tile.has_sorted_indices = True
+                row.append(((bi, bj), Block(tile).normalized()))
             return row
 
         for row in map_blocks(build_row, range(result.row_blocks)):
@@ -164,6 +206,7 @@ class BlockedMatrix:
         if value != self._symmetric:
             self._symmetric = value
             self._meta = None  # meta() carries the flag
+            self._transpose = None  # and so does the transpose's
 
     @property
     def nnz(self) -> int:
@@ -198,15 +241,17 @@ class BlockedMatrix:
         return cached
 
     def invalidate_stats(self) -> None:
-        """Drop cached ``nnz``/``serialized_bytes``/``meta`` statistics.
+        """Drop cached ``nnz``/``serialized_bytes``/``meta`` statistics
+        and the cached transpose.
 
-        Required only after editing :attr:`blocks` in place — every
-        operation here returns a freshly built grid, so normal use never
-        needs it.
+        Required only after editing :attr:`blocks` in place — operations
+        here never edit a grid they did not just build, so normal use
+        never needs it.
         """
         self._nnz = None
         self._bytes = None
         self._meta = None
+        self._transpose = None
 
     def block_dims(self, bi: int, bj: int) -> tuple[int, int]:
         """Dimensions of grid tile (bi, bj), accounting for ragged edges."""
@@ -244,12 +289,34 @@ class BlockedMatrix:
     # ------------------------------------------------------------------
     # Logical arithmetic (used by the executor's kernels)
     # ------------------------------------------------------------------
+    def copy(self) -> "BlockedMatrix":
+        """The same matrix with a grid dict of its own.
+
+        Callers may edit the copy's grid without touching this one; the
+        blocks themselves are immutable and shared.
+        """
+        return BlockedMatrix(self.rows, self.cols, self.block_size,
+                             blocks=dict(self.blocks),
+                             symmetric=self.symmetric)
+
     def transpose(self) -> "BlockedMatrix":
-        result = BlockedMatrix(self.cols, self.rows, self.block_size,
-                               symmetric=self.symmetric)
-        result.blocks.update(map_blocks(_transposed_entry,
-                                        list(self.blocks.items())))
-        return result
+        """The transposed grid, built once per grid and then shared.
+
+        Loop-invariant operands (``t(X) %*% ...`` on an input, mmchain's
+        ``X``) are transposed on every iteration; the cache makes all but
+        the first call free. The result is shared, so callers must not
+        edit its ``blocks``: one that needs a grid of its own (a lineage-
+        registered kernel output, which crash healing edits in place)
+        takes a :meth:`copy`.
+        """
+        cached = self._transpose
+        if cached is None:
+            cached = BlockedMatrix(self.cols, self.rows, self.block_size,
+                                   symmetric=self.symmetric)
+            cached.blocks.update(map_blocks(_transposed_entry,
+                                            list(self.blocks.items())))
+            self._transpose = cached
+        return cached
 
     def matmul(self, other: "BlockedMatrix") -> "BlockedMatrix":
         if self.cols != other.rows:
@@ -331,12 +398,7 @@ class BlockedMatrix:
 
     def add_scalar(self, scalar: float) -> "BlockedMatrix":
         if scalar == 0.0:
-            # Value-identical to self, but with a fresh grid dict: callers
-            # may edit the result's grid without aliasing this matrix
-            # (blocks themselves are immutable and safely shared).
-            return BlockedMatrix(self.rows, self.cols, self.block_size,
-                                 blocks=dict(self.blocks),
-                                 symmetric=self.symmetric)
+            return self.copy()
         result = BlockedMatrix(self.rows, self.cols, self.block_size,
                                symmetric=self.symmetric)
         coords = [(bi, bj) for bi in range(self.row_blocks)

@@ -380,8 +380,14 @@ class Kernels:
     # Transpose and aggregates
     # ------------------------------------------------------------------
     def transpose(self, value: Value) -> Value:
-        """Materialized transpose: distributed inputs pay a re-key shuffle."""
-        result = value.matrix.transpose()
+        """Materialized transpose: distributed inputs pay a re-key shuffle.
+
+        The output is a copy of the cached transpose, over the same
+        tiles: recovery heals a registered output by editing its grid in
+        place, and the recompute thunk reads the cache, so the two must
+        never be the same object.
+        """
+        result = value.matrix.transpose().copy()
         price = price_transpose(value.meta, self.config, self.policy, value.imbalance)
         self._charge(price)
         out = self._wrap(result, price.output_distributed)

@@ -241,6 +241,51 @@ class TestFaultedRunsBitIdentical:
             assert_identical_results(base_env, env)
 
 
+class TestMaterializedTransposeRecovery:
+    """A materialized ``t(A)`` must heal from an intact transpose.
+
+    ``A``'s transpose is built once and cached on ``A``'s grid; the fused
+    ``t(A) %*% ...`` in the loop reads that cache, and the lineage thunk of
+    ``T`` recomputes through it. Crash healing edits ``T``'s grid in
+    place, so ``T`` must not *be* the cache: otherwise healing would
+    delete tiles from the cache and then "recompute" them from the same
+    damaged grid.
+    """
+
+    SCRIPT = """
+input A, b, x, alpha
+T = t(A)
+i = 0
+while (i < 5) {
+  g = t(A) %*% (A %*% x - b)
+  x = x - alpha * g
+  i = i + 1
+}
+"""
+
+    def test_single_crash_anywhere_keeps_results_identical(self, cluster,
+                                                           inputs):
+        program = parse(self.SCRIPT, scalar_names={"i", "alpha"},
+                        max_iterations=10)
+        base, base_env = run_program(cluster, program, inputs)
+        horizon = base.metrics.execution_seconds
+        expected = {name: base_env[name].matrix.to_numpy()
+                    for name in ("x", "T")}
+        healed = 0.0
+        for fraction in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
+            for worker in range(cluster.num_workers):
+                plan = FaultPlan(crashes=(CrashEvent(fraction * horizon,
+                                                     worker),))
+                faulty, env = run_program(cluster, program, inputs,
+                                          fault_plan=plan)
+                for name, array in expected.items():
+                    assert np.array_equal(env[name].matrix.to_numpy(),
+                                          array), (name, fraction, worker)
+                healed += faulty.metrics.fault_summary[
+                    "recovery_recomputed_blocks"]
+        assert healed > 0
+
+
 class TestFailureModes:
     def test_retries_exhausted_raises(self, cluster, program, inputs):
         plan = FaultPlan(transmission_failure_rates={"shuffle": 0.99,

@@ -1,11 +1,17 @@
 """Blocked matrix tests: construction, arithmetic, grid layout."""
 
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse as sp
 
 from repro.errors import ExecutionError, ShapeError
 from repro.matrix import Block, BlockedMatrix, HashPartitioner, worker_of_block
+
+#: The module itself; ``repro.matrix`` re-exports only its classes.
+blocked_module = importlib.import_module("repro.matrix.blocked")
 
 
 class TestConstruction:
@@ -248,6 +254,193 @@ class TestCachedStats:
         assert block._nnz is None
         assert block.nnz == 32 * 32
         assert block._nnz == 32 * 32
+
+
+class TestTransposeMemo:
+    """``transpose()`` builds the transposed grid once per grid."""
+
+    @pytest.fixture
+    def tile_passes(self, monkeypatch):
+        calls = []
+        original = blocked_module.map_blocks
+
+        def counting(fn, items):
+            calls.append(fn)
+            return original(fn, items)
+
+        monkeypatch.setattr(blocked_module, "map_blocks", counting)
+        return calls
+
+    def test_second_transpose_runs_no_tile_pass(self, rng, tile_passes):
+        a = rng.random((50, 30))
+        blocked = BlockedMatrix.from_numpy(a, 16)
+        tile_passes.clear()
+        first = blocked.transpose()
+        second = blocked.transpose()
+        assert second is first
+        assert len(tile_passes) == 1
+        assert np.array_equal(first.to_numpy(), a.T)
+
+    def test_sparse_transpose_matches_numpy(self, sparse_matrix):
+        blocked = BlockedMatrix.from_scipy(sparse_matrix, 64)
+        transposed = blocked.transpose()
+        assert np.array_equal(transposed.to_numpy(), sparse_matrix.toarray().T)
+        assert transposed.nnz == sparse_matrix.nnz
+
+    def test_invalidate_stats_drops_transpose(self, rng, tile_passes):
+        a = rng.random((40, 40))
+        blocked = BlockedMatrix.from_numpy(a, 16)
+        first = blocked.transpose()
+        del blocked.blocks[(0, 0)]
+        blocked.invalidate_stats()
+        tile_passes.clear()
+        second = blocked.transpose()
+        assert second is not first
+        assert len(tile_passes) == 1
+        a[:16, :16] = 0.0
+        assert np.array_equal(second.to_numpy(), a.T)
+        # The transpose handed out earlier is left as it was.
+        assert first.block_at(0, 0) is not None
+
+    def test_symmetric_setter_refreshes_transpose(self, rng):
+        blocked = BlockedMatrix.from_numpy(rng.random((20, 20)), 16)
+        before = blocked.transpose()
+        blocked.symmetric = True
+        after = blocked.transpose()
+        assert after is not before
+        assert after.symmetric and after.meta().symmetric
+        assert not before.symmetric
+        blocked.symmetric = True  # unchanged flag: the cache stays
+        assert blocked.transpose() is after
+
+    def test_transpose_holds_no_reference_to_source(self, rng):
+        blocked = BlockedMatrix.from_numpy(rng.random((20, 30)), 16)
+        transposed = blocked.transpose()
+        source = weakref.ref(blocked)
+        del blocked
+        # Freed by reference counting alone: there is no cycle for the
+        # cyclic collector to find.
+        assert source() is None
+        assert transposed._transpose is None
+
+    def test_block_transpose_and_negate_carry_nnz(self, rng):
+        payload = rng.random((8, 8))
+        payload[payload < 0.5] = 0.0
+        for block in (Block(payload), Block(sp.csr_matrix(payload))):
+            count = block.nnz
+            for derived in (block.transpose(), block.negate()):
+                assert derived._nnz == count
+                derived._nnz = None
+                assert derived.nnz == count
+
+    def test_from_numpy_seeds_tile_nnz(self, rng):
+        a = rng.random((40, 40))
+        a[a < 0.3] = 0.0
+        a[:16, :16] = 0.0
+        blocked = BlockedMatrix.from_numpy(a, 16)
+        assert (0, 0) not in blocked.blocks
+        for (bi, bj), block in blocked.iter_blocks():
+            tile = a[bi * 16:(bi + 1) * 16, bj * 16:(bj + 1) * 16]
+            assert block._nnz == np.count_nonzero(tile)
+            expected = Block(tile.copy()).normalized().data
+            assert type(block.data) is type(expected)
+            assert np.array_equal(block.to_dense_array(), tile)
+
+
+def oracle_from_scipy(matrix, block_size):
+    """The earlier tiling: per-tile column slices of a CSC row slab."""
+    matrix = matrix.tocsr()
+    rows, cols = matrix.shape
+    result = BlockedMatrix(rows, cols, block_size)
+    for bi in range(result.row_blocks):
+        row_slab = matrix[bi * block_size:(bi + 1) * block_size, :]
+        if row_slab.nnz == 0:
+            continue
+        slab_csc = row_slab.tocsc()
+        for bj in range(result.col_blocks):
+            tile = slab_csc[:, bj * block_size:(bj + 1) * block_size]
+            if tile.nnz:
+                result.blocks[(bi, bj)] = Block(tile.tocsr()).normalized()
+    return result
+
+
+def _noncanonical(rng, rows, cols, per_row):
+    """A CSR matrix with unsorted column indices and duplicate entries."""
+    indptr, indices = [0], []
+    for _ in range(rows):
+        indices.extend(rng.integers(0, cols, rng.integers(0, per_row + 1)))
+        indptr.append(len(indices))
+    data = rng.random(len(indices))
+    return sp.csr_matrix((data, np.array(indices, dtype=np.int32),
+                          np.array(indptr, dtype=np.int32)), shape=(rows, cols))
+
+
+def _with_empty_slabs(rng):
+    matrix = sp.random(300, 90, density=0.1, format="lil", random_state=rng)
+    matrix[64:192, :] = 0.0
+    return matrix.tocsr()
+
+
+def _with_explicit_zeros(rng):
+    matrix = sp.random(100, 100, density=0.1, format="csr", random_state=rng)
+    matrix.data[::3] = 0.0
+    return matrix
+
+
+def _int64_indices(rng):
+    matrix = sp.random(100, 100, density=0.1, format="csr", random_state=rng)
+    matrix.indices = matrix.indices.astype(np.int64)
+    matrix.indptr = matrix.indptr.astype(np.int64)
+    return matrix
+
+
+TILING_CASES = {
+    "ragged": lambda rng: (sp.random(130, 17, density=0.3, format="csr",
+                                     random_state=rng), 32),
+    "multi-tile": lambda rng: (sp.random(300, 200, density=0.02,
+                                         format="csr", random_state=rng), 64),
+    "dense tiles": lambda rng: (sp.random(65, 129, density=0.6, format="csr",
+                                          random_state=rng), 64),
+    "1x1": lambda rng: (sp.csr_matrix(np.array([[2.5]])), 8),
+    "all-zero": lambda rng: (sp.csr_matrix((500, 40)), 64),
+    "empty row slabs": lambda rng: (_with_empty_slabs(rng), 64),
+    "unsorted with duplicates": lambda rng: (_noncanonical(rng, 150, 70, 20),
+                                             32),
+    "explicit zeros": lambda rng: (_with_explicit_zeros(rng), 32),
+    "coo input": lambda rng: (sp.random(100, 100, density=0.1, format="coo",
+                                        random_state=rng), 32),
+    "csc input": lambda rng: (sp.random(100, 100, density=0.1, format="csc",
+                                        random_state=rng), 32),
+    "int64 indices": lambda rng: (_int64_indices(rng), 32),
+    "csr_array": lambda rng: (sp.csr_array(sp.random(
+        100, 100, density=0.1, format="csr", random_state=rng)), 32),
+    "float32": lambda rng: (sp.random(100, 100, density=0.1, format="csr",
+                                      random_state=rng, dtype=np.float32), 32),
+}
+
+
+class TestFromScipyPin:
+    """``from_scipy`` builds exactly the tiles of the earlier routine."""
+
+    @pytest.mark.parametrize("case", list(TILING_CASES))
+    def test_tiles_match_oracle(self, rng, case):
+        matrix, block_size = TILING_CASES[case](rng)
+        expected = oracle_from_scipy(matrix.copy(), block_size)
+        blocked = BlockedMatrix.from_scipy(matrix.copy(), block_size)
+        assert list(blocked.blocks) == list(expected.blocks)
+        for key, block in expected.iter_blocks():
+            got, want = blocked.blocks[key].data, block.data
+            assert type(got) is type(want), key
+            assert got.shape == want.shape, key
+            if sp.issparse(want):
+                for name in ("indptr", "indices", "data"):
+                    got_array, want_array = getattr(got, name), getattr(want, name)
+                    assert got_array.dtype == want_array.dtype, (key, name)
+                    assert np.array_equal(got_array, want_array), (key, name)
+            else:
+                assert got.dtype == want.dtype, key
+                assert np.array_equal(got, want), key
+        assert np.array_equal(blocked.to_numpy(), matrix.toarray())
 
 
 class TestBlock:
